@@ -131,7 +131,6 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
                 raise BadParameters(f"bad {NODE_LIMIT_ENV} value {env!r}")
     return SolverConfig(
         catalog_max_len=args.catalog_len,
-        use_peel=args.use_peel,
         node_limit=node_limit,
         branch_heuristic=args.heuristic,
         symmetry_break=not args.no_symmetry_break,
@@ -156,6 +155,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 1
 
 
+def _int_param(text: str, name: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise BadParameters(f"bad integer {text!r} in {name!r}")
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
     parts = args.name.split(":")
     kind = parts[0]
@@ -166,16 +172,16 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     elif kind == "lemma8":
         if len(parts) != 2:
             raise BadParameters("usage: lemma8:<n>")
-        o = lemma8_orientation(int(parts[1]))
+        o = lemma8_orientation(_int_param(parts[1], args.name))
     elif kind == "toft":
         if len(parts) != 2:
             raise BadParameters("usage: toft:<n>")
-        o = toft_orientation(int(parts[1]))
+        o = toft_orientation(_int_param(parts[1], args.name))
     elif kind == "coloring":
         if len(parts) < 3:
             raise BadParameters("usage: coloring:<family-spec>:<k>")
         g = parse_family_spec(":".join(parts[1:-1]))
-        k = int(parts[-1])
+        k = _int_param(parts[-1], args.name)
         coloring = proper_coloring(g, k)
         if coloring is None:
             raise BadParameters(f"graph has no proper {k}-coloring")
@@ -219,7 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a family instance as an edge list")
     p.add_argument("--family", required=True)
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, help="reserved for test-data generation")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("props", help="structural properties of a graph")
@@ -241,7 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="dynamic_most_constrained",
         choices=["static_degree", "dynamic_most_constrained"],
     )
-    p.add_argument("--use-peel", action="store_true")
     p.add_argument("--no-symmetry-break", action="store_true")
     p.add_argument("--orientation-out", help="write the Sat orientation here")
     p.set_defaults(func=_cmd_solve)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from .errors import BadParameters
 from .families import circulant, toft
-from .orientation import Arc, Orientation, make_orientation
+from .orientation import Arc, Orientation
 
 _FIG4_ARCS: tuple[Arc, ...] = (
     (1, 0),
@@ -27,7 +27,7 @@ _FIG4_ARCS: tuple[Arc, ...] = (
 
 def fig4_orientation() -> Orientation:
     """The hand-drawn orientation of the 13-vertex, jump-{1,5} circulant."""
-    return make_orientation(circulant(13, {1, 5}), _FIG4_ARCS)
+    return Orientation(circulant(13, {1, 5}), _FIG4_ARCS)
 
 
 def lemma8_orientation(n: int) -> Orientation:
@@ -54,7 +54,7 @@ def lemma8_orientation(n: int) -> Orientation:
         (n - 2, n - 1),
         (n - 1, n - 3),
     ]
-    return make_orientation(g, arcs)
+    return Orientation(g, arcs)
 
 
 def toft_orientation(n: int) -> Orientation:
@@ -73,4 +73,4 @@ def toft_orientation(n: int) -> Orientation:
         arcs.append((2 * n + i, 3 * n + i))  # A3 -> A4 matching
         for j in range(n):
             arcs.append((n + i, 2 * n + j))  # all of A2 -> A3
-    return make_orientation(g, arcs)
+    return Orientation(g, arcs)

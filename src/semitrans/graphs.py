@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BadParameters,
@@ -137,6 +137,16 @@ def girth(g: Graph) -> int | float:
         if best == 3:
             break
     return best
+
+
+def is_clique(g: Graph, vs: Sequence[int]) -> bool:
+    """True iff the listed vertices are pairwise adjacent; a repeated vertex
+    is not adjacent to itself."""
+    return all(
+        g.adjacent(vs[i], vs[j])
+        for i in range(len(vs))
+        for j in range(i + 1, len(vs))
+    )
 
 
 def is_triangle_free(g: Graph) -> bool:
@@ -291,6 +301,44 @@ def chromatic_number(g: Graph, *, max_vertices: int = 32) -> int:
     return upper
 
 
+def lex_pair_list(text: str, shape: str) -> tuple[int, Iterator[tuple[int, str, int, int]]]:
+    """Split the header-plus-pairs text format shared by edge and arc lists.
+
+    ``#`` starts a comment and blank lines are skipped; the first remaining
+    line is the vertex count, every later one two integers.  Returns the count
+    and a lazy iterator of ``(lineno, line, a, b)``, so a caller's range and
+    duplicate checks report errors in line order.  ``shape`` names the two
+    fields in the error for a line that does not have exactly two.
+    """
+    numbered = (
+        (lineno, raw.split("#", 1)[0].strip())
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+    )
+    lines = ((lineno, line) for lineno, line in numbered if line)
+    for lineno, line in lines:
+        fields = line.split()
+        if len(fields) != 1:
+            raise FormatError(f"line {lineno}: expected a single vertex count")
+        try:
+            n = int(fields[0])
+        except ValueError:
+            raise FormatError(f"line {lineno}: bad vertex count {fields[0]!r}")
+        return n, _lex_pairs(lines, shape)
+    raise FormatError("missing vertex-count header line")
+
+
+def _lex_pairs(lines: Iterator[tuple[int, str]], shape: str) -> Iterator[tuple[int, str, int, int]]:
+    for lineno, line in lines:
+        fields = line.split()
+        if len(fields) != 2:
+            raise FormatError(f"line {lineno}: expected {shape}")
+        try:
+            a, b = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise FormatError(f"line {lineno}: bad vertex in {line!r}")
+        yield lineno, line, a, b
+
+
 def read_edge_list(text: str) -> Graph:
     """Parse the edge-list text format.
 
@@ -298,28 +346,10 @@ def read_edge_list(text: str) -> Graph:
     and every following line is one ``u v`` edge.  Duplicate edges are an
     error so that a round-trip through the format is loss-free.
     """
-    n: int | None = None
+    n, pairs = lex_pair_list(text, "'u v'")
     edges: list[Edge] = []
     seen: set[Edge] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if n is None:
-            if len(fields) != 1:
-                raise FormatError(f"line {lineno}: expected a single vertex count")
-            try:
-                n = int(fields[0])
-            except ValueError:
-                raise FormatError(f"line {lineno}: bad vertex count {fields[0]!r}")
-            continue
-        if len(fields) != 2:
-            raise FormatError(f"line {lineno}: expected 'u v'")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise FormatError(f"line {lineno}: bad vertex in {line!r}")
+    for lineno, line, u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
             raise FormatError(f"line {lineno}: vertex out of range in {line!r}")
         if u == v:
@@ -329,8 +359,6 @@ def read_edge_list(text: str) -> Graph:
             raise FormatError(f"line {lineno}: duplicate edge {e}")
         seen.add(e)
         edges.append(e)
-    if n is None:
-        raise FormatError("missing vertex-count header line")
     return Graph(n, edges)
 
 

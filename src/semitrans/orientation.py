@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import (
     DoubleAssignment,
@@ -30,16 +30,9 @@ from .errors import (
     NotAnEdge,
     UncoveredEdge,
 )
-from .graphs import Edge, Graph, normalize_edge
+from .graphs import Edge, Graph, _bits, lex_pair_list, normalize_edge
 
 Arc = tuple[int, int]
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class Orientation:
@@ -97,11 +90,6 @@ class Orientation:
 
     def __repr__(self) -> str:
         return f"Orientation(n={self.graph.n}, arcs={len(self.arcs)})"
-
-
-def make_orientation(g: Graph, arcs: Iterable[Arc]) -> Orientation:
-    """Build an orientation, insisting every edge is covered exactly once."""
-    return Orientation(g, arcs)
 
 
 class PartialOrientation:
@@ -191,31 +179,42 @@ class Shortcut:
 Verdict = Union[SemiTransitive, DirectedCycle, Shortcut]
 
 
+def kahn_order(out_masks: Sequence[int], in_masks: Sequence[int]) -> list[int]:
+    """Kahn's algorithm over one bitmask of successors and one of predecessors
+    per vertex: a FIFO queue, successors released in ascending order.  The
+    vertices on or downstream of a directed cycle are missing from the result.
+    """
+    order = [v for v, m in enumerate(in_masks) if not m]
+    pending = (1 << len(in_masks)) - 1  # not yet taken off the queue
+    for u in order:  # the list grows while it is read: it is the FIFO queue
+        pending ^= 1 << u
+        for w in _bits(out_masks[u]):
+            if not in_masks[w] & pending:  # u was w's last pending predecessor
+                order.append(w)
+    return order
+
+
 def is_acyclic(o: Orientation) -> tuple[bool, tuple[int, ...]]:
     """Kahn's algorithm; (True, topological order) or (False, cycle witness)."""
     n = o.graph.n
-    indeg = [o.in_mask(v).bit_count() for v in range(n)]
-    ready = deque(v for v in range(n) if indeg[v] == 0)
-    order: list[int] = []
-    while ready:
-        u = ready.popleft()
-        order.append(u)
-        for w in o.out_neighbors(u):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
+    out, inc = o._out, o._in
+    order = kahn_order(out, inc)
     if len(order) == n:
         return True, tuple(order)
-    # every leftover vertex has a leftover in-neighbor: walk until a repeat
-    left = set(range(n)) - set(order)
-    start = min(left)
+    # Kahn's pass leaves out the vertices a cycle reaches, the reverse pass
+    # those that reach a cycle.  A vertex left out by both has an out-neighbor
+    # left out by both, so walking the smallest such neighbor from the
+    # smallest such vertex always ends at a repeat.
+    core = (1 << n) - 1
+    for v in order + kahn_order(inc, out):
+        core &= ~(1 << v)
     seen_at: dict[int, int] = {}
     walk: list[int] = []
-    v = start
+    v = next(_bits(core))
     while v not in seen_at:
         seen_at[v] = len(walk)
         walk.append(v)
-        v = min(w for w in o.out_neighbors(v) if w in left)
+        v = next(_bits(out[v] & core))
     return False, tuple(walk[seen_at[v]:])
 
 
@@ -431,8 +430,9 @@ def peel(o: Orientation) -> tuple[Orientation, list[int]]:
             return True
         return all(inc[w] & alive & vbit == 0 for w in _bits(nbrs))
 
-    def longest_from(v: int) -> list[int]:
-        # longest-path DP out of v over the alive sub-DAG; -1 = unreachable
+    def longest(v: int, step: list[int]) -> list[int]:
+        # longest-path DP from v along ``step`` (out- or in-masks) over the
+        # alive sub-DAG; -1 = unreachable
         dist = [-1] * n
         dist[v] = 0
         stack = [(v, False)]
@@ -447,31 +447,9 @@ def peel(o: Orientation) -> tuple[Orientation, list[int]]:
                 continue
             seen |= 1 << u
             stack.append((u, True))
-            stack.extend((w, False) for w in _bits(out[u] & alive))
+            stack.extend((w, False) for w in _bits(step[u] & alive))
         for u in reversed(order):  # postorder reversed = topological
-            for w in _bits(out[u] & alive):
-                if dist[u] >= 0 and dist[u] + 1 > dist[w]:
-                    dist[w] = dist[u] + 1
-        return dist
-
-    def longest_into(v: int) -> list[int]:
-        dist = [-1] * n
-        dist[v] = 0
-        stack = [(v, False)]
-        seen = 0
-        order: list[int] = []
-        while stack:
-            u, done = stack.pop()
-            if done:
-                order.append(u)
-                continue
-            if seen >> u & 1:
-                continue
-            seen |= 1 << u
-            stack.append((u, True))
-            stack.extend((w, False) for w in _bits(inc[u] & alive))
-        for u in reversed(order):
-            for w in _bits(inc[u] & alive):
+            for w in _bits(step[u] & alive):
                 if dist[u] >= 0 and dist[u] + 1 > dist[w]:
                     dist[w] = dist[u] + 1
         return dist
@@ -484,9 +462,9 @@ def peel(o: Orientation) -> tuple[Orientation, list[int]]:
         if all_sinks_or_sources_without(v):
             return True
         if not vin:  # source: no out-arc may carry a length >= 3 path
-            dist = longest_from(v)
+            dist = longest(v, out)
             return all(dist[w] < 3 for w in _bits(vout))
-        dist = longest_into(v)  # sink, dual
+        dist = longest(v, inc)  # sink, dual
         return all(dist[u] < 3 for u in _bits(vin))
 
     progress = True
@@ -511,36 +489,16 @@ def peel(o: Orientation) -> tuple[Orientation, list[int]]:
 
 def read_arc_list(text: str) -> tuple[int, tuple[Arc, ...]]:
     """Parse the arc-list format: header n, then one "u v" arc per line."""
-    n: int | None = None
+    n, pairs = lex_pair_list(text, "'tail head'")
     arcs: list[Arc] = []
     seen: set[Arc] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if n is None:
-            if len(fields) != 1:
-                raise FormatError(f"line {lineno}: expected a single vertex count")
-            try:
-                n = int(fields[0])
-            except ValueError:
-                raise FormatError(f"line {lineno}: bad vertex count {fields[0]!r}")
-            continue
-        if len(fields) != 2:
-            raise FormatError(f"line {lineno}: expected 'tail head'")
-        try:
-            t, h = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise FormatError(f"line {lineno}: bad vertex in {line!r}")
+    for lineno, _, t, h in pairs:
         if not (0 <= t < n and 0 <= h < n) or t == h:
             raise FormatError(f"line {lineno}: bad arc {t}->{h}")
         if (t, h) in seen:
             raise FormatError(f"line {lineno}: duplicate arc {t}->{h}")
         seen.add((t, h))
         arcs.append((t, h))
-    if n is None:
-        raise FormatError("missing vertex-count header line")
     return n, tuple(arcs)
 
 
@@ -548,7 +506,7 @@ def read_orientation(text: str, g: Graph) -> Orientation:
     n, arcs = read_arc_list(text)
     if n != g.n:
         raise FormatError(f"orientation is over {n} vertices, graph has {g.n}")
-    return make_orientation(g, arcs)
+    return Orientation(g, arcs)
 
 
 def write_arc_list(o: Orientation) -> str:

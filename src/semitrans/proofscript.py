@@ -41,7 +41,7 @@ from typing import Union
 
 from .errors import BadParameters, ParseError, StepRejected
 from .families import parse_family_spec
-from .graphs import Graph, read_edge_list
+from .graphs import Graph, is_clique, read_edge_list
 from .orientation import PartialOrientation
 from .solver import Contradiction, CycleCatalog, lemma2_propagate
 
@@ -345,11 +345,7 @@ def check_S_step(p: PartialOrientation, vertices: tuple[int, ...]) -> tuple[bool
             return False, f"missing path arc {vs[t]}->{vs[t + 1]}"
     if not p.has_arc(vs[0], vs[-1]):
         return False, f"missing shortcutting arc {vs[0]}->{vs[-1]}"
-    if all(
-        g.adjacent(vs[i], vs[j])
-        for i in range(len(vs))
-        for j in range(i + 1, len(vs))
-    ):
+    if is_clique(g, vs):
         return False, "all listed vertices are pairwise adjacent"
     return True, ""
 
@@ -401,11 +397,7 @@ def replay(script: Script, graph: Graph | None = None, base_dir: str = ".") -> R
                 u, v = cyc[t], cyc[(t + 1) % mlen]
                 if not (0 <= u < g.n and 0 <= v < g.n) or not g.adjacent(u, v):
                     raise reject(idx, step, f"{u}-{v} is not an edge", current)
-            if all(
-                g.adjacent(cyc[i], cyc[j])
-                for i in range(mlen)
-                for j in range(i + 1, mlen)
-            ):
+            if is_clique(g, cyc):
                 raise reject(idx, step, "cycle vertex set induces a clique", current)
             result, derived = lemma2_propagate(g, po, CycleCatalog((cyc,)))
             if isinstance(result, Contradiction):

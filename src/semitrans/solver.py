@@ -20,11 +20,11 @@ halves of the search tree are verdict-equivalent.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .errors import BadParameters, ImproperColoring, NotAcyclic, TooLarge
-from .graphs import Coloring, Graph, is_proper, normalize_edge
+from .errors import BadParameters, ImproperColoring, TooLarge
+from .graphs import Coloring, Graph, is_clique, is_proper, normalize_edge
 from .orientation import (
     Orientation,
     PartialOrientation,
@@ -33,7 +33,7 @@ from .orientation import (
     find_shortcut,
     find_shortcut_oracle,
     is_acyclic,
-    peel,
+    kahn_order,
     topological_order,
 )
 
@@ -57,14 +57,6 @@ def short_cycles(g: Graph, max_len: int) -> CycleCatalog:
     if max_len < 4:
         raise BadParameters(f"catalog length must be >= 4, got {max_len}")
     found: list[tuple[int, ...]] = []
-
-    def is_clique(vs: tuple[int, ...]) -> bool:
-        return all(
-            g.adjacent(vs[i], vs[j])
-            for i in range(len(vs))
-            for j in range(i + 1, len(vs))
-        )
-
     path: list[int] = []
 
     def extend(root: int) -> None:
@@ -73,7 +65,7 @@ def short_cycles(g: Graph, max_len: int) -> CycleCatalog:
         for w in g.neighbors(last):
             if w == root and can_close and path[1] < path[-1]:
                 vs = tuple(path)
-                if not is_clique(vs):
+                if not is_clique(g, vs):
                     found.append(vs)
             elif w > root and w not in path and len(path) < max_len:
                 path.append(w)
@@ -145,7 +137,6 @@ class SolveStats:
 @dataclass(frozen=True)
 class SolverConfig:
     catalog_max_len: int = 5
-    use_peel: bool = False
     node_limit: int | None = None
     branch_heuristic: str = "dynamic_most_constrained"
     symmetry_break: bool = True
@@ -153,6 +144,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.catalog_max_len < 4:
             raise BadParameters("catalog_max_len must be >= 4")
+        if self.node_limit is not None and self.node_limit < 0:
+            raise BadParameters(f"node_limit must be >= 0, got {self.node_limit}")
         if self.branch_heuristic not in ("static_degree", "dynamic_most_constrained"):
             raise BadParameters(f"unknown heuristic {self.branch_heuristic!r}")
 
@@ -304,29 +297,16 @@ class _Engine:
     def _has_directed_cycle(self) -> bool:
         n = self.g.n
         out = [0] * n
-        indeg = [0] * n
+        inc = [0] * n
         for i, (u, v) in enumerate(self.edges):
             d = self.dirs[i]
             if d == 1:
                 out[u] |= 1 << v
-                indeg[v] += 1
+                inc[v] |= 1 << u
             elif d == 2:
                 out[v] |= 1 << u
-                indeg[u] += 1
-        ready = [v for v in range(n) if indeg[v] == 0]
-        done = 0
-        while ready:
-            x = ready.pop()
-            done += 1
-            mask = out[x]
-            while mask:
-                low = mask & -mask
-                w = low.bit_length() - 1
-                mask ^= low
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-        return done != n
+                inc[u] |= 1 << v
+        return len(kahn_order(out, inc)) != n
 
     # -- branching --------------------------------------------------------
 
@@ -363,8 +343,7 @@ class _Engine:
         ok, _ = is_acyclic(o)
         if not ok:
             return None
-        target = peel(o)[0] if self.cfg.use_peel else o
-        return o if find_shortcut(target) is None else None
+        return o if find_shortcut(o) is None else None
 
     def search(self) -> Orientation | None:
         return self._search(0)
@@ -416,7 +395,6 @@ def stats_doc(result: SolveResult, cfg: SolverConfig) -> dict:
         "wall_ms": round(result.stats.wall_ms, 3),
         "config": {
             "catalog_max_len": cfg.catalog_max_len,
-            "use_peel": cfg.use_peel,
             "node_limit": cfg.node_limit,
             "branch_heuristic": cfg.branch_heuristic,
             "symmetry_break": cfg.symmetry_break,
@@ -450,27 +428,13 @@ def enumerate_acyclic_orientations(g: Graph) -> Iterator[Orientation]:
     edges = g.edges
     for mask in range(1 << m):
         out = [0] * n
-        indeg = [0] * n
-        for i in range(m):
-            u, v = edges[i]
+        inc = [0] * n
+        for i, (u, v) in enumerate(edges):
             if mask >> i & 1:
                 u, v = v, u
             out[u] |= 1 << v
-            indeg[v] += 1
-        ready = [v for v in range(n) if indeg[v] == 0]
-        done = 0
-        while ready:
-            x = ready.pop()
-            done += 1
-            mm = out[x]
-            while mm:
-                low = mm & -mm
-                w = low.bit_length() - 1
-                mm ^= low
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-        if done == n:
+            inc[v] |= 1 << u
+        if len(kahn_order(out, inc)) == n:
             yield Orientation(
                 g,
                 [

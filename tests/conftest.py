@@ -23,7 +23,6 @@ from semitrans import (
     grotzsch,
     kneser,
     kneser83_sub16,
-    make_orientation,
     mycielski,
     toft,
 )
@@ -115,7 +114,7 @@ def rand_acyclic(g: Graph, rng: random.Random) -> Orientation:
     rng.shuffle(perm)
     pos = {v: i for i, v in enumerate(perm)}
     arcs = [(u, v) if pos[u] < pos[v] else (v, u) for u, v in g.edges]
-    return make_orientation(g, arcs)
+    return Orientation(g, arcs)
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -3,10 +3,13 @@ import json
 import pytest
 
 from semitrans import (
+    DirectedCycle,
+    Graph,
+    Orientation,
     circulant,
     cycle,
-    make_orientation,
     read_edge_list,
+    verify_certificate,
     write_edge_list,
 )
 from semitrans.cli import NODE_LIMIT_ENV, export_dot, main
@@ -31,9 +34,11 @@ def test_gen_round_trip(tmp_path, capsys):
                           "--out", str(out))
     assert code == 0 and stdout == ""
     assert read_edge_list(out.read_text()) == circulant(13, [1, 5])
-    code, stdout, _ = run(capsys, "gen", "--family", "cycle:5", "--seed", "7")
+    code, stdout, _ = run(capsys, "gen", "--family", "cycle:5")
     assert code == 0
     assert stdout == write_edge_list(cycle(5))
+    code, stdout, _ = run(capsys, "gen", "--family", "cycle:5", "--seed", "7")
+    assert code == 2 and stdout == ""
 
 
 def test_props_chvatal(capsys):
@@ -77,12 +82,27 @@ def test_verify_semi_transitive(tmp_path, capsys):
 
 def test_verify_cyclic(tmp_path, capsys):
     arcs = tmp_path / "spin.arcs"
-    o = make_orientation(cycle(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
+    o = Orientation(cycle(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
     arcs.write_text(write_arc_list(o), encoding="utf-8")
     code, out, _ = run(capsys, "verify", "--family", "cycle:4",
                        "--orientation", str(arcs))
     assert code == 1
     assert json.loads(out)["status"] == "cyclic"
+
+
+def test_verify_cycle_upstream_of_smallest_vertex(tmp_path, capsys):
+    # 0 hangs below the cycle 1->2->3->1: the witness must still be the cycle
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
+    o = Orientation(g, [(1, 2), (2, 3), (3, 1), (1, 0)])
+    edges, arcs = tmp_path / "g.edges", tmp_path / "o.arcs"
+    edges.write_text(write_edge_list(g), encoding="utf-8")
+    arcs.write_text(write_arc_list(o), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--graph", str(edges),
+                         "--orientation", str(arcs))
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert doc == {"status": "cyclic", "cycle": [1, 2, 3]}
+    assert verify_certificate(g, o, DirectedCycle(tuple(doc["cycle"])))
 
 
 def test_verify_rejects_mismatched_file(tmp_path, capsys):
@@ -113,6 +133,9 @@ def test_solve_node_limit_flag(capsys):
                        "--node-limit", "1")
     assert code == 3
     assert json.loads(out)["verdict"] == "unknown"
+    code, out, err = run(capsys, "solve", "--family", "chvatal",
+                         "--node-limit", "-1")
+    assert code == 2 and out == "" and "node_limit" in err
 
 
 def test_solve_env_node_limit(monkeypatch, capsys):
@@ -126,18 +149,22 @@ def test_solve_env_node_limit(monkeypatch, capsys):
     monkeypatch.setenv(NODE_LIMIT_ENV, "not-a-number")
     code, _, err = run(capsys, "solve", "--family", "chvatal")
     assert code == 2
+    monkeypatch.setenv(NODE_LIMIT_ENV, "-1")
+    code, _, err = run(capsys, "solve", "--family", "chvatal")
+    assert code == 2
 
 
 def test_solve_config_flags(capsys):
     code, out, _ = run(capsys, "solve", "--family", "cycle:5",
                        "--catalog-len", "4", "--heuristic", "static_degree",
-                       "--use-peel", "--no-symmetry-break",
+                       "--no-symmetry-break",
                        "--orientation-out", "/dev/null")
     assert code == 0
     cfg = json.loads(out)["config"]
     assert cfg["catalog_max_len"] == 4
     assert cfg["branch_heuristic"] == "static_degree"
-    assert cfg["use_peel"] is True
+    assert "use_peel" not in cfg
+    assert run(capsys, "solve", "--family", "cycle:5", "--use-peel")[0] == 2
     assert cfg["symmetry_break"] is False
 
 
@@ -166,7 +193,9 @@ def test_construct_families(name, capsys):
 
 
 @pytest.mark.parametrize(
-    "name", ["coloring:grotzsch:3", "lemma8:4", "nosuch", "fig4:9", "toft:6"]
+    "name",
+    ["coloring:grotzsch:3", "lemma8:4", "nosuch", "fig4:9", "toft:6",
+     "lemma8:abc", "toft:x", "coloring:cycle:5:x"],
 )
 def test_construct_rejects(name, capsys):
     code, _, err = run(capsys, "construct", name)
@@ -211,7 +240,7 @@ def test_export_undirected(capsys):
 
 def test_export_oriented(tmp_path, capsys):
     arcs = tmp_path / "o.arcs"
-    o = make_orientation(cycle(3), [(0, 1), (1, 2), (0, 2)])
+    o = Orientation(cycle(3), [(0, 1), (1, 2), (0, 2)])
     arcs.write_text(write_arc_list(o), encoding="utf-8")
     code, out, _ = run(capsys, "export", "--family", "cycle:3",
                        "--orientation", str(arcs))

@@ -23,7 +23,6 @@ from semitrans import (
     find_shortcut,
     find_shortcut_oracle,
     is_acyclic,
-    make_orientation,
     peel,
     reach_closure,
     read_arc_list,
@@ -37,16 +36,16 @@ from semitrans.constructions import fig4_orientation
 
 SQUARE = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 # directed path 0->1->2->3 plus the shortcutting arc 0->3
-SHORTCUT_O = make_orientation(SQUARE, [(0, 1), (1, 2), (2, 3), (0, 3)])
+SHORTCUT_O = Orientation(SQUARE, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
-def test_make_orientation_validates():
+def test_orientation_validates():
     with pytest.raises(NotAnEdge):
-        make_orientation(SQUARE, [(0, 2), (1, 2), (2, 3), (0, 3)])
+        Orientation(SQUARE, [(0, 2), (1, 2), (2, 3), (0, 3)])
     with pytest.raises(DoubleAssignment):
-        make_orientation(SQUARE, [(0, 1), (1, 0), (2, 3), (0, 3)])
+        Orientation(SQUARE, [(0, 1), (1, 0), (2, 3), (0, 3)])
     with pytest.raises(UncoveredEdge):
-        make_orientation(SQUARE, [(0, 1), (1, 2), (2, 3)])
+        Orientation(SQUARE, [(0, 1), (1, 2), (2, 3)])
 
 
 def test_orientation_queries():
@@ -82,13 +81,41 @@ def test_acyclicity():
     pos = {v: i for i, v in enumerate(order)}
     for t, h in SHORTCUT_O.arcs:
         assert pos[t] < pos[h]
-    spin = make_orientation(cycle(3), [(0, 1), (1, 2), (2, 0)])
+    spin = Orientation(cycle(3), [(0, 1), (1, 2), (2, 0)])
     ok, cyc = is_acyclic(spin)
     assert not ok
     for a, b in zip(cyc, cyc[1:] + cyc[:1]):
         assert spin.has_arc(a, b)
     with pytest.raises(NotAcyclic):
         topological_order(spin)
+
+
+def test_cycle_witness_when_smallest_vertex_is_downstream():
+    # 0 is left over by Kahn's pass (its in-neighbor 1 is on the cycle) but
+    # reaches no cycle itself
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
+    o = Orientation(g, [(1, 2), (2, 3), (3, 1), (1, 0)])
+    assert is_acyclic(o) == (False, (1, 2, 3))
+    v = check_semi_transitive(o)
+    assert v == DirectedCycle((1, 2, 3))
+    assert verify_certificate(g, o, v)
+
+
+def test_cycle_witness_random():
+    rng = random.Random(20)
+    cyclic = 0
+    for _ in range(400):
+        n = rng.randint(3, 9)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < 0.5])
+        o = Orientation(g, [(u, v) if rng.random() < 0.5 else (v, u)
+                            for u, v in g.edges])
+        ok, witness = is_acyclic(o)
+        if not ok:
+            cyclic += 1
+            assert len(set(witness)) == len(witness)
+            assert verify_certificate(g, o, DirectedCycle(witness))
+    assert cyclic > 100
 
 
 def test_reach_closure():
@@ -109,7 +136,7 @@ def test_no_false_positive_on_diamond():
     # u->x, u->y, x->v, y->v, u->v with x,y nonadjacent: every directed
     # path has length <= 2, so there is no shortcut to find
     g = Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)])
-    o = make_orientation(g, [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)])
+    o = Orientation(g, [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)])
     assert find_shortcut(o) is None
     assert find_shortcut_oracle(o) is None
     assert isinstance(check_semi_transitive(o), SemiTransitive)
@@ -117,7 +144,7 @@ def test_no_false_positive_on_diamond():
 
 def test_check_semi_transitive_verdicts():
     assert isinstance(check_semi_transitive(fig4_orientation()), SemiTransitive)
-    spin = make_orientation(cycle(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
+    spin = Orientation(cycle(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
     v = check_semi_transitive(spin)
     assert isinstance(v, DirectedCycle)
     assert verify_certificate(cycle(4), spin, v)
@@ -190,7 +217,7 @@ def test_peel_keeps_shortcut_instance():
 
 
 def test_peel_rejects_cyclic():
-    spin = make_orientation(cycle(3), [(0, 1), (1, 2), (2, 0)])
+    spin = Orientation(cycle(3), [(0, 1), (1, 2), (2, 0)])
     with pytest.raises(NotAcyclic):
         peel(spin)
 
@@ -222,7 +249,7 @@ def test_verdict_docs():
         "shortcut_arc": [0, 3],
         "nonadjacent_pair": [0, 2],
     }
-    spin = make_orientation(cycle(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
+    spin = Orientation(cycle(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
     doc = verdict_doc(check_semi_transitive(spin))
     assert doc["status"] == "cyclic" and sorted(doc["cycle"]) == [0, 1, 2, 3]
 

@@ -8,6 +8,7 @@ from semitrans import (
     Contradiction,
     Graph,
     ImproperColoring,
+    Orientation,
     PartialOrientation,
     Sat,
     SemiTransitive,
@@ -28,7 +29,6 @@ from semitrans import (
     is_connected,
     lemma2_propagate,
     longest_directed_path,
-    make_orientation,
     orient_by_coloring,
     proper_coloring,
     short_cycles,
@@ -176,7 +176,6 @@ def test_solver_config_knobs():
         SolverConfig(catalog_max_len=4),
         SolverConfig(catalog_max_len=7),
         SolverConfig(branch_heuristic="static_degree"),
-        SolverConfig(use_peel=True),
     ):
         assert isinstance(solve(grotzsch(), cfg), Unsat)
         assert isinstance(solve(circulant(13, [1, 5]), cfg), Sat)
@@ -187,6 +186,8 @@ def test_solver_config_validation():
         SolverConfig(catalog_max_len=3)
     with pytest.raises(BadParameters):
         SolverConfig(branch_heuristic="random")
+    with pytest.raises(BadParameters):
+        SolverConfig(node_limit=-1)
 
 
 def test_node_limit_gives_unknown():
@@ -255,11 +256,11 @@ def test_enumeration_cap():
 
 
 def test_longest_directed_path():
-    t = make_orientation(
+    t = Orientation(
         complete(4), [(i, j) for i in range(4) for j in range(i + 1, 4)]
     )
     assert longest_directed_path(t) == 3
-    assert longest_directed_path(make_orientation(Graph(1, []), [])) == 0
+    assert longest_directed_path(Orientation(Graph(1, []), [])) == 0
 
 
 def test_vitaver_identity_small():
