@@ -301,7 +301,10 @@ def chromatic_number(g: Graph, *, max_vertices: int = 32) -> int:
     return upper
 
 
-def lex_pair_list(text: str, shape: str) -> tuple[int, Iterator[tuple[int, str, int, int]]]:
+PairLine = tuple[int, str, int, int]  # (lineno, line, a, b)
+
+
+def lex_pair_list(text: str, shape: str) -> tuple[int, Iterator[PairLine]]:
     """Split the header-plus-pairs text format shared by edge and arc lists.
 
     ``#`` starts a comment and blank lines are skipped; the first remaining
@@ -327,7 +330,7 @@ def lex_pair_list(text: str, shape: str) -> tuple[int, Iterator[tuple[int, str, 
     raise FormatError("missing vertex-count header line")
 
 
-def _lex_pairs(lines: Iterator[tuple[int, str]], shape: str) -> Iterator[tuple[int, str, int, int]]:
+def _lex_pairs(lines: Iterator[tuple[int, str]], shape: str) -> Iterator[PairLine]:
     for lineno, line in lines:
         fields = line.split()
         if len(fields) != 2:

@@ -22,8 +22,10 @@ CASES = {
     "solve_grotzsch": (1, ["solve", "--family", "grotzsch"]),
     "solve_circulant13": (0, ["solve", "--family", "circulant:13:1,5"]),
     "solve_toft7": (0, ["solve", "--family", "toft:7"]),
-    "verify_shortcut": (1, ["verify", "--family", "cycle:4", "--orientation", "shortcut.arcs"]),
-    "verify_cyclic": (1, ["verify", "--family", "cycle:4", "--orientation", "cyclic.arcs"]),
+    "verify_shortcut": (1, ["verify", "--family", "cycle:4",
+                            "--orientation", "shortcut.arcs"]),
+    "verify_cyclic": (1, ["verify", "--family", "cycle:4",
+                          "--orientation", "cyclic.arcs"]),
     "construct_fig4": (0, ["construct", "fig4"]),
 }
 
