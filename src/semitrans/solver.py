@@ -15,6 +15,25 @@ verified with the real detector before being reported.  Root symmetry
 breaking explores the first decision edge in one direction only: reversing
 all arcs preserves acyclicity and maps shortcuts to shortcuts, so the two
 halves of the search tree are verdict-equivalent.
+
+Bookkeeping of the cycle rule.  Per catalog cycle the engine counts the
+edges assigned along it, against it, and in all.  Each count is bit-sliced
+over the whole catalog (Biham, FSE 1997): plane k is one int whose bit i is
+bit k of cycle i's count.  Assigning an edge adds 1 to the counts of the
+cycles through it, a ripple carry over a few ints; a decision saves the
+planes and its undo restores them.  A cycle of length L starts its along
+and against counts at 2**top - (L-2) and its assigned count at
+2**top - L, where 2**top >= the longest catalog length.  The questions the
+rule asks then read alike for every length:
+
+* count = L-2: top plane set, lower planes clear;
+* count >= L-1: top plane set, some lower plane set;
+* count = L-3 (the branch score): top plane clear, every lower plane set;
+* every edge assigned: the assigned count's top plane.
+
+The edge order, value order and propagation order are those of a
+per-cycle counter loop, so the counters and the orientations found do not
+depend on this representation.
 """
 
 from __future__ import annotations
@@ -177,6 +196,26 @@ class _NodeLimit(Exception):
     pass
 
 
+def _read(planes: list[int]) -> tuple[int, int]:
+    """Masks of the cycles whose offset count (module docstring) stands at
+    ``>= L-1`` and at exactly ``L-2``."""
+    top = planes[-1]
+    low = 0
+    for p in planes[:-1]:
+        low |= p
+    over = top & low
+    return over, top ^ over
+
+
+def _add_one(planes: list[int], carry: int) -> None:
+    """Add 1 to the count of every cycle in ``carry``, rippling the carry."""
+    for k, p in enumerate(planes):
+        planes[k] = p ^ carry
+        carry &= p
+        if not carry:
+            return
+
+
 class _Engine:
     def __init__(self, g: Graph, cfg: SolverConfig):
         self.g = g
@@ -189,11 +228,13 @@ class _Engine:
         eidx = {e: i for i, e in enumerate(edges)}
 
         catalog = short_cycles(g, cfg.catalog_max_len)
-        self.cyc_len: list[int] = []
+        # up[e][v] for dirs value v: the cycles that edge e then runs along
+        up = [[0, 0, 0] for _ in range(m)]
+        by_len: dict[int, int] = {}
         self.cyc_edges: list[tuple[int, ...]] = []
         self.cyc_signs: list[tuple[int, ...]] = []
-        occ: list[list[tuple[int, int]]] = [[] for _ in range(m)]
         for ci, cyc in enumerate(catalog.cycles):
+            bit = 1 << ci
             mlen = len(cyc)
             es, ss = [], []
             for t in range(mlen):
@@ -202,12 +243,23 @@ class _Engine:
                 s = 1 if (u, v) == edges[e] else 2  # dirs value meaning "along"
                 es.append(e)
                 ss.append(s)
-                occ[e].append((ci, s))
-            self.cyc_len.append(mlen)
+                up[e][s] |= bit
             self.cyc_edges.append(tuple(es))
             self.cyc_signs.append(tuple(ss))
-        self.occ = [tuple(x) for x in occ]
-        self.cnt = [[0, 0] for _ in self.cyc_len]
+            by_len[mlen] = by_len.get(mlen, 0) | bit
+        self.up = [(a | b, a, b) for _, a, b in up]  # [0]: every cycle through e
+
+        top = (max(by_len, default=4) - 1).bit_length()
+        self.along = [0] * (top + 1)
+        self.against = [0] * (top + 1)
+        self.placed = [0] * (top + 1)
+        for mlen, mask in by_len.items():
+            for k in range(top + 1):
+                if (2**top - (mlen - 2)) >> k & 1:
+                    self.along[k] |= mask
+                    self.against[k] |= mask
+                if (2**top - mlen) >> k & 1:
+                    self.placed[k] |= mask
 
         tris: list[tuple[int, int, int]] = []
         tri_occ: list[list[int]] = [[] for _ in range(m)]
@@ -239,22 +291,26 @@ class _Engine:
             return cur == val
         self.dirs[e] = val
         self.trail.append(e)
-        for ci, s in self.occ[e]:
-            self.cnt[ci][0 if val == s else 1] += 1
+        up = self.up[e]
+        _add_one(self.along, up[val])
+        _add_one(self.against, up[3 - val])
+        _add_one(self.placed, up[0])
         self._queue.append(e)
         return True
 
-    def _undo(self, mark: int) -> None:
+    def _save(self) -> tuple[list[int], list[int], list[int]]:
+        return self.along[:], self.against[:], self.placed[:]
+
+    def _undo(self, mark: int, saved: tuple[list[int], list[int], list[int]]) -> None:
+        """Unassign the trail above ``mark``; restore the counters saved there."""
         while len(self.trail) > mark:
-            e = self.trail.pop()
-            val = self.dirs[e]
-            self.dirs[e] = 0
-            for ci, s in self.occ[e]:
-                self.cnt[ci][0 if val == s else 1] -= 1
+            self.dirs[self.trail.pop()] = 0
+        self.along[:], self.against[:], self.placed[:] = saved
 
     def _propagate(self) -> bool:
         q = self._queue
         dirs = self.dirs
+        along, against, placed = self.along, self.against, self.placed
         qi = 0
         while qi < len(q):
             e = q[qi]
@@ -275,17 +331,25 @@ class _Engine:
                 elif d2 and d3:
                     if d2 != d3 and not self._force(i1, 3 - d2):
                         return False
-            for ci, s in self.occ[e]:
-                a, b = self.cnt[ci]
-                mlen = self.cyc_len[ci]
-                if a >= mlen - 1 or b >= mlen - 1:
+            # the cycles through e in ascending order, re-read after each
+            # one the rule acts on; only a count of L-2 or more can act
+            pending = self.up[e][0]
+            while pending & (along[-1] | against[-1]):
+                over_a, tight_a = _read(along)
+                over_b, tight_b = _read(against)
+                over = over_a | over_b
+                act = pending & (over | ((tight_a | tight_b) & ~placed[-1]))
+                if not act:
+                    break
+                low = act & -act
+                if over & low:
                     return False
-                if a == mlen - 2 or b == mlen - 2:
-                    forced_along = b == mlen - 2
-                    for k, sk in zip(self.cyc_edges[ci], self.cyc_signs[ci]):
-                        if not dirs[k]:
-                            if not self._force(k, sk if forced_along else 3 - sk):
-                                return False
+                forced_along = bool(tight_b & low)
+                ci = low.bit_length() - 1
+                for k, sk in zip(self.cyc_edges[ci], self.cyc_signs[ci]):
+                    if not dirs[k]:  # a free edge: forcing it cannot fail
+                        self._force(k, sk if forced_along else 3 - sk)
+                pending &= -(low << 1)
         return True
 
     def _force(self, e: int, val: int) -> bool:
@@ -317,16 +381,18 @@ class _Engine:
                 if not dirs[e]:
                     return e
             return None
+        # score: the cycles through e with a count at L-3 or L-2
+        hot = 0
+        for planes in (self.along, self.against):
+            below = ~planes[-1]  # L-3 is "top plane clear, every lower set"
+            for p in planes[:-1]:
+                below &= p
+            hot |= _read(planes)[1] | below
         best, best_score = None, -1
         for e in range(self.m):
             if dirs[e]:
                 continue
-            score = 0
-            for ci, _ in self.occ[e]:
-                mlen = self.cyc_len[ci]
-                a, b = self.cnt[ci]
-                if a in (mlen - 3, mlen - 2) or b in (mlen - 3, mlen - 2):
-                    score += 1
+            score = (hot & self.up[e][0]).bit_count()
             if score > best_score:
                 best, best_score = e, score
         return best
@@ -357,15 +423,15 @@ class _Engine:
         if limit is not None and self.stats.nodes > limit:
             raise _NodeLimit()
         branches = (1,) if depth == 0 and self.cfg.symmetry_break else (1, 2)
+        mark, saved = len(self.trail), self._save()
         for val in branches:
-            mark = len(self.trail)
             self._queue = []
             self._assign(e, val)
             if self._propagate() and not self._has_directed_cycle():
                 found = self._search(depth + 1)
                 if found is not None:
                     return found
-            self._undo(mark)
+            self._undo(mark, saved)
         return None
 
 
