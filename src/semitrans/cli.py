@@ -2,8 +2,9 @@
 
 Exit codes: 0 verified / satisfiable / all branches closed; 1 refuted /
 unsatisfiable / not semi-transitive; 2 input or usage error; 3 resource
-limit (node limit or size cap).  Machine-readable output goes to stdout,
-diagnostics to stderr.  Output is deterministic except for the wall_ms
+limit (node limit, size cap, recursion depth or memory); 4 internal error.
+Only a finished check returns 0 or 1.  Machine-readable output goes to
+stdout, diagnostics to stderr.  Output is deterministic except for the wall_ms
 stats field.
 """
 
@@ -284,6 +285,12 @@ def main(argv: list[str] | None = None) -> int:
     except (SemitransError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except (RecursionError, MemoryError) as exc:
+        sys.stderr.write(f"error: resources exhausted: {type(exc).__name__}: {exc}\n")
+        return 3
+    except Exception as exc:  # a defect: never let it pass for a verdict
+        sys.stderr.write(f"error: internal error: {type(exc).__name__}: {exc}\n")
+        return 4
 
 
 if __name__ == "__main__":

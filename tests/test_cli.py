@@ -282,3 +282,22 @@ def test_construct_output_deterministic(capsys):
     a = run(capsys, "construct", "fig4")[1]
     b = run(capsys, "construct", "fig4")[1]
     assert a == b
+
+
+@pytest.mark.parametrize("exc,code", [
+    (RecursionError("maximum recursion depth exceeded"), 3),
+    (MemoryError(), 3),
+    (ValueError("unexpected"), 4),
+    (AssertionError("solver produced an unverified orientation"), 4),
+])
+def test_last_resort_exit_codes(monkeypatch, capsys, exc, code):
+    # an unexpected failure must never pass for a verdict (0 or 1)
+    import semitrans.cli as cli
+
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "solve", boom)
+    got, out, err = run(capsys, "solve", "--family", "cycle:5")
+    assert got == code and out == ""
+    assert err.startswith("error: ") and type(exc).__name__ in err
