@@ -398,92 +398,6 @@ def verdict_doc(verdict: Verdict) -> dict:
     }
 
 
-# --- peeling ---------------------------------------------------------------
-#
-# A vertex is peeled when one of the following sound rules applies (each is
-# justified by: any shortcut containing a source has it as path start, any
-# containing a sink has it as path end, and path vertices are distinct):
-#
-#   Rule 1 (source/sink version of the neighbor rule): v is a source or a
-#     sink and, with v removed, its neighbors are all sinks or all sources.
-#   Rule 2: v is a source and no arc v->w admits a directed path v => w of
-#     length >= 3 (so v cannot start a long path with a shortcutting arc);
-#     dually for a sink and paths u => v.
-#
-# Peeling runs to a fixpoint, so it can reduce past the hand-proof's stopping
-# state; preservation of shortcut existence is what is guaranteed (and what
-# the test suite checks exhaustively on small graphs).
-
-
-def peel(o: Orientation) -> tuple[Orientation, list[int]]:
-    n = o.graph.n
-    topological_order(o)  # NotAcyclic guard
-    out = list(o._out)
-    inc = list(o._in)
-    alive = (1 << n) - 1
-    removed: list[int] = []
-
-    def all_sinks_or_sources_without(v: int) -> bool:
-        nbrs = (out[v] | inc[v]) & alive
-        vbit = ~(1 << v)
-        if all(out[w] & alive & vbit == 0 for w in _bits(nbrs)):
-            return True
-        return all(inc[w] & alive & vbit == 0 for w in _bits(nbrs))
-
-    def longest(v: int, step: list[int]) -> list[int]:
-        # longest-path DP from v along ``step`` (out- or in-masks) over the
-        # alive sub-DAG; -1 = unreachable
-        dist = [-1] * n
-        dist[v] = 0
-        stack = [(v, False)]
-        seen = 0
-        order: list[int] = []
-        while stack:
-            u, done = stack.pop()
-            if done:
-                order.append(u)
-                continue
-            if seen >> u & 1:
-                continue
-            seen |= 1 << u
-            stack.append((u, True))
-            stack.extend((w, False) for w in _bits(step[u] & alive))
-        for u in reversed(order):  # postorder reversed = topological
-            for w in _bits(step[u] & alive):
-                if dist[u] >= 0 and dist[u] + 1 > dist[w]:
-                    dist[w] = dist[u] + 1
-        return dist
-
-    def removable(v: int) -> bool:
-        vin = inc[v] & alive
-        vout = out[v] & alive
-        if vin and vout:
-            return False  # interior vertices never peel
-        if all_sinks_or_sources_without(v):
-            return True
-        if not vin:  # source: no out-arc may carry a length >= 3 path
-            dist = longest(v, out)
-            return all(dist[w] < 3 for w in _bits(vout))
-        dist = longest(v, inc)  # sink, dual
-        return all(dist[u] < 3 for u in _bits(vin))
-
-    progress = True
-    while progress:
-        progress = False
-        for v in range(n):
-            if alive >> v & 1 and removable(v):
-                alive &= ~(1 << v)
-                removed.append(v)
-                progress = True
-                break
-
-    kept_edges = [e for e in o.graph.edges if alive >> e[0] & 1 and alive >> e[1] & 1]
-    kept_arcs = [
-        (t, h) for t, h in o.arcs if alive >> t & 1 and alive >> h & 1
-    ]
-    return Orientation(Graph(n, kept_edges), kept_arcs), removed
-
-
 # --- text format -----------------------------------------------------------
 
 

@@ -23,7 +23,6 @@ from semitrans import (
     find_shortcut,
     find_shortcut_oracle,
     is_acyclic,
-    peel,
     reach_closure,
     read_arc_list,
     read_orientation,
@@ -188,38 +187,6 @@ def test_reversal_preserves_semi_transitivity():
                 assert isinstance(
                     check_semi_transitive(o.reversed()), SemiTransitive
                 ), (name, o.arcs)
-
-
-def test_peel_preserves_shortcut_existence():
-    for name, g in SMALL_CATALOG.items():
-        for o in enumerate_acyclic_orientations(g):
-            had = find_shortcut_oracle(o) is not None
-            peeled, removed = peel(o)
-            assert (find_shortcut_oracle(peeled) is not None) == had, (
-                name,
-                o.arcs,
-                removed,
-            )
-            for v in removed:
-                assert peeled.graph.degree(v) == 0
-
-
-def test_peel_fig4():
-    peeled, removed = peel(fig4_orientation())
-    assert removed[:2] == [0, 1]
-    survivors = {v for v in range(13) if peeled.graph.degree(v) > 0}
-    assert survivors <= {3, 4, 11}
-
-
-def test_peel_keeps_shortcut_instance():
-    peeled, removed = peel(SHORTCUT_O)
-    assert find_shortcut_oracle(peeled) is not None
-
-
-def test_peel_rejects_cyclic():
-    spin = Orientation(cycle(3), [(0, 1), (1, 2), (2, 0)])
-    with pytest.raises(NotAcyclic):
-        peel(spin)
 
 
 def test_verify_certificate_rejects_tampering():
