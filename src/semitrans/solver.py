@@ -31,9 +31,10 @@ rule asks then read alike for every length:
 * count = L-3 (the branch score): top plane clear, every lower plane set;
 * every edge assigned: the assigned count's top plane.
 
-The edge order, value order and propagation order are those of a
-per-cycle counter loop, so the counters and the orientations found do not
-depend on this representation.
+Propagation visits the cycles through an edge in ascending index and
+re-reads the planes after each cycle it acts on, as a loop over per-cycle
+counters would, so the search counters and the orientations found do not
+depend on the representation (tests/test_engine_counters.py pins them).
 """
 
 from __future__ import annotations
@@ -207,6 +208,17 @@ def _read(planes: list[int]) -> tuple[int, int]:
     return over, top ^ over
 
 
+def _mask(indices: list[int]) -> int:
+    """The int with the bits ``indices`` (ascending) set.  Filling bytes
+    first: or-ing each bit into a growing int would copy it every time."""
+    if not indices:
+        return 0
+    buf = bytearray(indices[-1] // 8 + 1)
+    for i in indices:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
 def _add_one(planes: list[int], carry: int) -> None:
     """Add 1 to the count of every cycle in ``carry``, rippling the carry."""
     for k, p in enumerate(planes):
@@ -228,13 +240,12 @@ class _Engine:
         eidx = {e: i for i, e in enumerate(edges)}
 
         catalog = short_cycles(g, cfg.catalog_max_len)
-        # up[e][v] for dirs value v: the cycles that edge e then runs along
-        up = [[0, 0, 0] for _ in range(m)]
-        by_len: dict[int, int] = {}
+        # the cycles through each edge, per dirs value meaning "along"
+        through: list[tuple[list[int], list[int]]] = [([], []) for _ in range(m)]
+        lengths: dict[int, list[int]] = {}
         self.cyc_edges: list[tuple[int, ...]] = []
         self.cyc_signs: list[tuple[int, ...]] = []
         for ci, cyc in enumerate(catalog.cycles):
-            bit = 1 << ci
             mlen = len(cyc)
             es, ss = [], []
             for t in range(mlen):
@@ -243,11 +254,17 @@ class _Engine:
                 s = 1 if (u, v) == edges[e] else 2  # dirs value meaning "along"
                 es.append(e)
                 ss.append(s)
-                up[e][s] |= bit
+                through[e][s - 1].append(ci)
             self.cyc_edges.append(tuple(es))
             self.cyc_signs.append(tuple(ss))
-            by_len[mlen] = by_len.get(mlen, 0) | bit
-        self.up = [(a | b, a, b) for _, a, b in up]  # [0]: every cycle through e
+            lengths.setdefault(mlen, []).append(ci)
+        # up[e][v] for dirs value v: the cycles that edge e then runs along;
+        # up[e][0]: every cycle through e
+        self.up: list[tuple[int, int, int]] = []
+        for on1, on2 in through:
+            a1, a2 = _mask(on1), _mask(on2)
+            self.up.append((a1 | a2, a1, a2))
+        by_len = {mlen: _mask(cis) for mlen, cis in lengths.items()}
 
         top = (max(by_len, default=4) - 1).bit_length()
         self.along = [0] * (top + 1)
@@ -298,10 +315,7 @@ class _Engine:
         self._queue.append(e)
         return True
 
-    def _save(self) -> tuple[list[int], list[int], list[int]]:
-        return self.along[:], self.against[:], self.placed[:]
-
-    def _undo(self, mark: int, saved: tuple[list[int], list[int], list[int]]) -> None:
+    def _undo(self, mark: int, saved: tuple[list[int], ...]) -> None:
         """Unassign the trail above ``mark``; restore the counters saved there."""
         while len(self.trail) > mark:
             self.dirs[self.trail.pop()] = 0
@@ -423,7 +437,8 @@ class _Engine:
         if limit is not None and self.stats.nodes > limit:
             raise _NodeLimit()
         branches = (1,) if depth == 0 and self.cfg.symmetry_break else (1, 2)
-        mark, saved = len(self.trail), self._save()
+        mark = len(self.trail)
+        saved = self.along[:], self.against[:], self.placed[:]
         for val in branches:
             self._queue = []
             self._assign(e, val)
