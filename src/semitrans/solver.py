@@ -240,7 +240,7 @@ class _Engine:
         eidx = {e: i for i, e in enumerate(edges)}
 
         catalog = short_cycles(g, cfg.catalog_max_len)
-        # the cycles through each edge, per dirs value meaning "along"
+        # cycle indices per edge, split by the dirs value that runs along them
         through: list[tuple[list[int], list[int]]] = [([], []) for _ in range(m)]
         lengths: dict[int, list[int]] = {}
         self.cyc_edges: list[tuple[int, ...]] = []
