@@ -363,7 +363,7 @@ class _Engine:
                 for k, sk in zip(self.cyc_edges[ci], self.cyc_signs[ci]):
                     if not dirs[k]:  # a free edge: forcing it cannot fail
                         self._force(k, sk if forced_along else 3 - sk)
-                pending &= -(low << 1)
+                pending &= -(low << 1)  # drop ci and the cycles below it
         return True
 
     def _force(self, e: int, val: int) -> bool:

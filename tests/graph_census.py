@@ -16,18 +16,12 @@ from itertools import permutations, product
 from semitrans import Graph
 
 
-def _bits(x: int):
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
 def _refined_colours(adj: tuple[int, ...]) -> list[int]:
     """Colour by degree, then by the colours of the neighbours, to a fixpoint."""
     col = [a.bit_count() for a in adj]
     while True:
-        sig = [(c, tuple(sorted(col[w] for w in _bits(a)))) for c, a in zip(col, adj)]
+        sig = [(c, tuple(sorted(col[w] for w in range(len(adj)) if a >> w & 1)))
+               for c, a in zip(col, adj)]
         keys = sorted(set(sig))
         new = [keys.index(s) for s in sig]
         if len(keys) == len(set(col)):
@@ -65,17 +59,6 @@ def graphs_up_to(n_max: int) -> dict[int, list[tuple[int, ...]]]:
     return layers
 
 
-def is_connected(adj: tuple[int, ...]) -> bool:
-    seen, frontier = 1, 1
-    while frontier:
-        reach = 0
-        for v in _bits(frontier):
-            reach |= adj[v]
-        frontier = reach & ~seen
-        seen |= frontier
-    return seen == (1 << len(adj)) - 1
-
-
 def to_graph(adj: tuple[int, ...]) -> Graph:
-    edges = [(u, v) for u, a in enumerate(adj) for v in _bits(a) if u < v]
-    return Graph(len(adj), edges)
+    n = len(adj)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1])

@@ -13,12 +13,13 @@ import os
 
 import pytest
 
-from graph_census import graphs_up_to, is_connected, to_graph
+from graph_census import graphs_up_to, to_graph
 from semitrans import (
     Sat,
     SemiTransitive,
     SolverConfig,
     Unsat,
+    is_connected,
     solve,
     verify_certificate,
 )
@@ -37,7 +38,7 @@ CONFIGS = {
 @pytest.fixture(scope="module")
 def connected():
     layers = graphs_up_to(7)
-    return {n: [to_graph(a) for a in layers[n] if is_connected(a)] for n in (6, 7)}
+    return {n: [g for g in map(to_graph, layers[n]) if is_connected(g)] for n in (6, 7)}
 
 
 def _census(graphs, cfg):
@@ -66,6 +67,6 @@ def test_census_unsat_counts(connected, name):
 @pytest.mark.skipif(os.environ.get("SEMITRANS_CENSUS8") != "1",
                     reason="opt-in: set SEMITRANS_CENSUS8=1")
 def test_census_eight_vertices():
-    graphs = [to_graph(a) for a in graphs_up_to(8)[8] if is_connected(a)]
+    graphs = [g for g in map(to_graph, graphs_up_to(8)[8]) if is_connected(g)]
     assert len(graphs) == CONNECTED_COUNTS[8]
     assert _census(graphs, SolverConfig()) == UNSAT_COUNTS[8]
