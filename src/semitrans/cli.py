@@ -134,7 +134,6 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
         catalog_max_len=args.catalog_len,
         node_limit=node_limit,
         branch_heuristic=args.heuristic,
-        symmetry_break=not args.no_symmetry_break,
     )
 
 
@@ -247,7 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="dynamic_most_constrained",
         choices=["static_degree", "dynamic_most_constrained"],
     )
-    p.add_argument("--no-symmetry-break", action="store_true")
     p.add_argument("--orientation-out", help="write the Sat orientation here")
     p.set_defaults(func=_cmd_solve)
 

@@ -12,13 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    BadParameters,
-    BoundExceeded,
-    FormatError,
-    ImproperColoring,
-    MissingEdge,
-)
+from .errors import BadParameters, BoundExceeded, FormatError, MissingEdge
 
 Edge = tuple[int, int]
 
@@ -185,11 +179,6 @@ def is_proper(g: Graph, coloring: Coloring) -> bool:
     if any(not (0 <= c < max(coloring.num_colors, 1)) for c in coloring.colors):
         return False
     return all(coloring.colors[u] != coloring.colors[v] for u, v in g.edges)
-
-
-def require_proper(g: Graph, coloring: Coloring) -> None:
-    if not is_proper(g, coloring):
-        raise ImproperColoring("coloring is not a proper coloring of the graph")
 
 
 def proper_coloring(g: Graph, k: int) -> Coloring | None:

@@ -65,12 +65,6 @@ class Orientation:
     def has_arc(self, u: int, v: int) -> bool:
         return bool(self._out[u] >> v & 1)
 
-    def out_mask(self, u: int) -> int:
-        return self._out[u]
-
-    def in_mask(self, u: int) -> int:
-        return self._in[u]
-
     def out_neighbors(self, u: int) -> tuple[int, ...]:
         return tuple(_bits(self._out[u]))
 

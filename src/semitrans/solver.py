@@ -1,13 +1,13 @@
 """Complete search for semi-transitive orientations.
 
-The engine is a depth-first search over edge directions with three pruning
+The engine is a depth-first search over edge directions with two pruning
 devices, each individually sound:
 
-* cycle propagation — on a cycle of length m >= 4 whose vertex set is not a
-  clique, m-1 edges oriented one way around force a contradiction, and m-2
-  force the remaining edges the opposite way (the catalog rule);
-* triangle closure — two arcs forming a path across a triangle force the
-  transitive third arc, since the alternative is a directed 3-cycle;
+* the cycle rule — on a cycle of length m >= 4 whose vertex set is not a
+  clique, m-1 edges oriented one way around are a contradiction, and m-2
+  force the remaining edges the opposite way.  A triangle obeys the same
+  count one arc later: 3 arcs one way around are a directed 3-cycle, and 2
+  force the third edge against them, the transitive closure;
 * a directed-cycle check over the assigned arcs after every decision.
 
 The catalog rule is sound but not complete, so every full assignment is
@@ -16,19 +16,22 @@ breaking explores the first decision edge in one direction only: reversing
 all arcs preserves acyclicity and maps shortcuts to shortcuts, so the two
 halves of the search tree are verdict-equivalent.
 
-Bookkeeping of the cycle rule.  Per catalog cycle the engine counts the
-edges assigned along it, against it, and in all.  Each count is bit-sliced
-over the whole catalog (Biham, FSE 1997): plane k is one int whose bit i is
-bit k of cycle i's count.  Assigning an edge adds 1 to the counts of the
-cycles through it, a ripple carry over a few ints; a decision saves the
-planes and its undo restores them.  A cycle of length L starts its along
-and against counts at 2**top - (L-2) and its assigned count at
-2**top - L, where 2**top >= the longest catalog length.  The questions the
-rule asks then read alike for every length:
+Bookkeeping of the cycle rule.  The engine's cycles are the graph's
+triangles followed by the catalog; a cycle of length L acts at L-1 arcs
+if it is a triangle and at L-2 if it is a catalog cycle.  Per cycle the
+engine counts the edges assigned along it, against it, and in all.  Each
+count is bit-sliced over all cycles (Biham, FSE 1997): plane k is one int
+whose bit i is bit k of cycle i's count.  Assigning an edge adds 1 to the
+counts of the cycles through it, a ripple carry over a few ints; a
+decision saves the planes and its undo restores them.  A cycle that acts
+at A starts its along and against counts at 2**top - A and its assigned
+count at 2**top - L, where 2**top >= the longest catalog length.  The
+questions the rule asks then read alike for every cycle:
 
-* count = L-2: top plane set, lower planes clear;
-* count >= L-1: top plane set, some lower plane set;
-* count = L-3 (the branch score): top plane clear, every lower plane set;
+* count = A (force): top plane set, lower planes clear;
+* count > A (contradiction): top plane set, some lower plane set;
+* count = A-1 (the branch score, catalog cycles only): top plane clear,
+  every lower plane set;
 * every edge assigned: the assigned count's top plane.
 
 Propagation visits the cycles through an edge in ascending index and
@@ -198,8 +201,8 @@ class _NodeLimit(Exception):
 
 
 def _read(planes: list[int]) -> tuple[int, int]:
-    """Masks of the cycles whose offset count (module docstring) stands at
-    ``>= L-1`` and at exactly ``L-2``."""
+    """Masks of the cycles whose offset count (module docstring) stands
+    above their acting threshold and exactly at it."""
     top = planes[-1]
     low = 0
     for p in planes[:-1]:
@@ -239,13 +242,21 @@ class _Engine:
         self.m = m
         eidx = {e: i for i, e in enumerate(edges)}
 
+        # the triangles first, so that propagation visits them first
+        tris = [
+            (a, b, c)
+            for a, b in edges
+            for c in g.neighbors(b)
+            if c > b and g.adjacent(a, c)
+        ]
+        self.n_tris = len(tris)
         catalog = short_cycles(g, cfg.catalog_max_len)
         # cycle indices per edge, split by the dirs value that runs along them
         through: list[tuple[list[int], list[int]]] = [([], []) for _ in range(m)]
         lengths: dict[int, list[int]] = {}
         self.cyc_edges: list[tuple[int, ...]] = []
         self.cyc_signs: list[tuple[int, ...]] = []
-        for ci, cyc in enumerate(catalog.cycles):
+        for ci, cyc in enumerate(tris + list(catalog.cycles)):
             mlen = len(cyc)
             es, ss = [], []
             for t in range(mlen):
@@ -271,24 +282,13 @@ class _Engine:
         self.against = [0] * (top + 1)
         self.placed = [0] * (top + 1)
         for mlen, mask in by_len.items():
+            acts = 2 if mlen == 3 else mlen - 2
             for k in range(top + 1):
-                if (2**top - (mlen - 2)) >> k & 1:
+                if (2**top - acts) >> k & 1:
                     self.along[k] |= mask
                     self.against[k] |= mask
                 if (2**top - mlen) >> k & 1:
                     self.placed[k] |= mask
-
-        tris: list[tuple[int, int, int]] = []
-        tri_occ: list[list[int]] = [[] for _ in range(m)]
-        for a, b in edges:
-            for c in g.neighbors(b):
-                if c > b and g.adjacent(a, c):
-                    ti = len(tris)
-                    tris.append((eidx[(a, b)], eidx[(b, c)], eidx[(a, c)]))
-                    for e in tris[-1]:
-                        tri_occ[e].append(ti)
-        self.tris = tris
-        self.tri_occ = [tuple(x) for x in tri_occ]
 
         self.dirs = bytearray(m)
         self.trail: list[int] = []
@@ -329,24 +329,9 @@ class _Engine:
         while qi < len(q):
             e = q[qi]
             qi += 1
-            for ti in self.tri_occ[e]:
-                i1, i2, i3 = self.tris[ti]
-                d1, d2, d3 = dirs[i1], dirs[i2], dirs[i3]
-                # directed-3-cycle patterns on (ab, bc, ac): (1,1,2), (2,2,1)
-                if d1 and d2 and d3:
-                    if d1 == d2 and d3 == 3 - d1:
-                        return False
-                elif d1 and d2:
-                    if d1 == d2 and not self._force(i3, d1):
-                        return False
-                elif d1 and d3:
-                    if d1 != d3 and not self._force(i2, d3):
-                        return False
-                elif d2 and d3:
-                    if d2 != d3 and not self._force(i1, 3 - d2):
-                        return False
             # the cycles through e in ascending order, re-read after each
-            # one the rule acts on; only a count of L-2 or more can act
+            # one the rule acts on; only a count at its acting threshold or
+            # more can act
             pending = self.up[e][0]
             while pending & (along[-1] | against[-1]):
                 over_a, tight_a = _read(along)
@@ -395,13 +380,14 @@ class _Engine:
                 if not dirs[e]:
                     return e
             return None
-        # score: the cycles through e with a count at L-3 or L-2
+        # score: the catalog cycles through e with a count at L-3 or L-2
         hot = 0
         for planes in (self.along, self.against):
             below = ~planes[-1]  # L-3 is "top plane clear, every lower set"
             for p in planes[:-1]:
                 below &= p
             hot |= _read(planes)[1] | below
+        hot = hot >> self.n_tris << self.n_tris  # triangles do not score
         best, best_score = None, -1
         for e in range(self.m):
             if dirs[e]:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import semitrans
 from semitrans import (
     DirectedCycle,
     Graph,
@@ -157,7 +162,6 @@ def test_solve_env_node_limit(monkeypatch, capsys):
 def test_solve_config_flags(capsys):
     code, out, _ = run(capsys, "solve", "--family", "cycle:5",
                        "--catalog-len", "4", "--heuristic", "static_degree",
-                       "--no-symmetry-break",
                        "--orientation-out", "/dev/null")
     assert code == 0
     cfg = json.loads(out)["config"]
@@ -165,7 +169,19 @@ def test_solve_config_flags(capsys):
     assert cfg["branch_heuristic"] == "static_degree"
     assert "use_peel" not in cfg
     assert run(capsys, "solve", "--family", "cycle:5", "--use-peel")[0] == 2
-    assert cfg["symmetry_break"] is False
+    assert cfg["symmetry_break"] is True
+    assert run(capsys, "solve", "--family", "cycle:5",
+               "--no-symmetry-break")[0] == 2
+
+
+def test_module_entry_point_is_clean():
+    # running the cli module must not warn that the package imported it first
+    env = dict(os.environ, PYTHONPATH=str(Path(semitrans.__file__).parents[1]))
+    r = subprocess.run(
+        [sys.executable, "-m", "semitrans.cli", "props", "--family", "cycle:5"],
+        capture_output=True, text=True, env=env,
+    )
+    assert (r.returncode, r.stderr) == (0, "")
 
 
 def test_solve_rejects_bad_catalog_len(capsys):

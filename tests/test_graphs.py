@@ -8,7 +8,6 @@ from semitrans import (
     Coloring,
     FormatError,
     Graph,
-    ImproperColoring,
     MissingEdge,
     chromatic_number,
     chvatal,
@@ -147,10 +146,6 @@ def test_coloring_type():
     assert c.num_colors == 2 and c.color_of(1) == 1
     assert is_proper(Graph(3, [(0, 1), (1, 2)]), c)
     assert not is_proper(Graph(3, [(0, 2)]), c)
-    with pytest.raises(ImproperColoring):
-        from semitrans.graphs import require_proper
-
-        require_proper(Graph(3, [(0, 2)]), c)
 
 
 def test_degree_profile():
