@@ -47,8 +47,6 @@ from .solver import (
     stats_doc,
 )
 
-NODE_LIMIT_ENV = "SEMITRANS_NODE_LIMIT"
-
 
 def export_dot(g: Graph, o: Orientation | None = None) -> str:
     """Graph-description text; arrows when an orientation is given."""
@@ -121,25 +119,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if isinstance(verdict, SemiTransitive) else 1
 
 
-def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    node_limit = args.node_limit
-    if node_limit is None:
-        env = os.environ.get(NODE_LIMIT_ENV)
-        if env is not None:
-            try:
-                node_limit = int(env)
-            except ValueError:
-                raise BadParameters(f"bad {NODE_LIMIT_ENV} value {env!r}")
-    return SolverConfig(
-        catalog_max_len=args.catalog_len,
-        node_limit=node_limit,
-        branch_heuristic=args.heuristic,
-    )
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    cfg = _solver_config(args)
+    cfg = SolverConfig(
+        catalog_max_len=args.catalog_len,
+        node_limit=args.node_limit,
+        branch_heuristic=args.heuristic,
+    )
     result = solve(g, cfg)
     doc = stats_doc(result, cfg)
     if isinstance(result, Sat):

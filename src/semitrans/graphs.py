@@ -236,58 +236,16 @@ def proper_coloring(g: Graph, k: int) -> Coloring | None:
     return None
 
 
-def _dsatur_upper_bound(g: Graph) -> int:
-    n = g.n
-    colors = [-1] * n
-    neighbor_colors = [0] * n
-    used = 0
-    for _ in range(n):
-        v = max(
-            (v for v in range(n) if colors[v] < 0),
-            key=lambda v: (neighbor_colors[v].bit_count(), g.degree(v), -v),
-        )
-        c = 0
-        while neighbor_colors[v] >> c & 1:
-            c += 1
-        colors[v] = c
-        used = max(used, c + 1)
-        for w in g.neighbors(v):
-            neighbor_colors[w] |= 1 << c
-    return used
-
-
-def _greedy_clique_lower_bound(g: Graph) -> int:
-    best = 1 if g.n else 0
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    for seed in order:
-        mask = 1 << seed
-        common = g.adjacency_mask(seed)
-        size = 1
-        for w in order:
-            if common >> w & 1:
-                mask |= 1 << w
-                common &= g.adjacency_mask(w)
-                size += 1
-        best = max(best, size)
-    return best
-
-
 def chromatic_number(g: Graph, *, max_vertices: int = 32) -> int:
     """Exact chromatic number for graphs up to ``max_vertices`` vertices."""
     if g.n > max_vertices:
         raise BoundExceeded(
             f"graph has {g.n} vertices, above the cap of {max_vertices}"
         )
-    if g.n == 0:
-        return 0
-    if not g.edges:
-        return 1
-    lower = max(_greedy_clique_lower_bound(g), 2)
-    upper = _dsatur_upper_bound(g)
-    for k in range(lower, upper):
-        if proper_coloring(g, k) is not None:
-            return k
-    return upper
+    k = 0
+    while proper_coloring(g, k) is None:
+        k += 1
+    return k
 
 
 PairLine = tuple[int, str, int, int]  # (lineno, line, a, b)

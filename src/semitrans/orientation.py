@@ -87,8 +87,8 @@ class Orientation:
 
 
 class PartialOrientation:
-    """A mutable partial assignment of directions; the solver and the proof
-    replayer both work over these."""
+    """A mutable partial assignment of directions; the proof replay kernel
+    works over these (the search keeps its own bit planes)."""
 
     __slots__ = ("graph", "dirs")
 

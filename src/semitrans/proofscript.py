@@ -37,13 +37,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Sequence, Union
 
 from .errors import BadParameters, ParseError, StepRejected
 from .families import parse_family_spec
 from .graphs import Graph, is_clique, read_edge_list
 from .orientation import PartialOrientation
-from .solver import Contradiction, CycleCatalog, lemma2_propagate
 
 Arc = tuple[int, int]
 
@@ -330,6 +329,54 @@ class ReplayReport:
         return "\n".join(lines) + "\n"
 
 
+@dataclass(frozen=True)
+class Contradiction:
+    reason: str
+    cycle: tuple[int, ...] | None = None
+
+
+def lemma2_propagate(
+    g: Graph, p: PartialOrientation, cycles: Sequence[tuple[int, ...]]
+) -> tuple[Union[PartialOrientation, Contradiction], list[tuple[int, int]]]:
+    """Run the cycle rule to fixpoint over a copy of ``p``.
+
+    Per cycle and traversal direction with f edges assigned along it:
+    f >= m-1 is a contradiction; f = m-2 forces every unassigned edge of the
+    cycle the opposite way.  Derived arcs are reported in derivation order.
+    """
+    q = p.copy()
+    derived: list[tuple[int, int]] = []
+    changed = True
+    while changed:
+        changed = False
+        for cyc in cycles:
+            mlen = len(cyc)
+            along = against = 0
+            free: list[tuple[int, int]] = []
+            for t in range(mlen):
+                u, v = cyc[t], cyc[(t + 1) % mlen]
+                d = q.direction_of(u, v)
+                if d is None:
+                    free.append((u, v))
+                elif d == (u, v):
+                    along += 1
+                else:
+                    against += 1
+            if along >= mlen - 1 or against >= mlen - 1:
+                return Contradiction("cycle rule", cyc), derived
+            if along == mlen - 2 and free:
+                for u, v in free:
+                    q.assign(v, u)
+                    derived.append((v, u))
+                changed = True
+            elif against == mlen - 2 and free:
+                for u, v in free:
+                    q.assign(u, v)
+                    derived.append((u, v))
+                changed = True
+    return q, derived
+
+
 def check_S_step(p: PartialOrientation, vertices: tuple[int, ...]) -> tuple[bool, str]:
     """True iff the listed vertices witness a shortcut under assigned arcs."""
     vs = list(vertices)
@@ -399,7 +446,7 @@ def replay(script: Script, graph: Graph | None = None, base_dir: str = ".") -> R
                     raise reject(idx, step, f"{u}-{v} is not an edge", current)
             if is_clique(g, cyc):
                 raise reject(idx, step, "cycle vertex set induces a clique", current)
-            result, derived = lemma2_propagate(g, po, CycleCatalog((cyc,)))
+            result, derived = lemma2_propagate(g, po, (cyc,))
             if isinstance(result, Contradiction):
                 out.derived.extend((idx, a) for a in derived)
                 out.status = "closed-by-contradiction"

@@ -50,28 +50,17 @@ from .errors import BadParameters, ImproperColoring, TooLarge
 from .graphs import Coloring, Graph, is_clique, is_proper, normalize_edge
 from .orientation import (
     Orientation,
-    PartialOrientation,
     SemiTransitive,
     check_semi_transitive,
     find_shortcut,
     find_shortcut_oracle,
-    is_acyclic,
+    is_acyclic,  # unused here: perfbench/tracing.py binds solver.is_acyclic
     kahn_order,
     topological_order,
 )
 
 
-@dataclass(frozen=True)
-class CycleCatalog:
-    """Cycles of length 4..L whose vertex sets do not induce cliques."""
-
-    cycles: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.cycles)
-
-
-def short_cycles(g: Graph, max_len: int) -> CycleCatalog:
+def short_cycles(g: Graph, max_len: int) -> tuple[tuple[int, ...], ...]:
     """Enumerate cycles of length 4..max_len up to rotation and reflection.
 
     Canonical form: the smallest vertex first, and the smaller of its two
@@ -98,55 +87,7 @@ def short_cycles(g: Graph, max_len: int) -> CycleCatalog:
     for root in range(g.n):
         path = [root]
         extend(root)
-    return CycleCatalog(tuple(found))
-
-
-@dataclass(frozen=True)
-class Contradiction:
-    reason: str
-    cycle: tuple[int, ...] | None = None
-
-
-def lemma2_propagate(
-    g: Graph, p: PartialOrientation, catalog: CycleCatalog
-) -> tuple[Union[PartialOrientation, Contradiction], list[tuple[int, int]]]:
-    """Run the cycle rule to fixpoint over a copy of ``p``.
-
-    Per cycle and traversal direction with f edges assigned along it:
-    f >= m-1 is a contradiction; f = m-2 forces every unassigned edge of the
-    cycle the opposite way.  Derived arcs are reported in derivation order.
-    """
-    q = p.copy()
-    derived: list[tuple[int, int]] = []
-    changed = True
-    while changed:
-        changed = False
-        for cyc in catalog.cycles:
-            mlen = len(cyc)
-            along = against = 0
-            free: list[tuple[int, int]] = []
-            for t in range(mlen):
-                u, v = cyc[t], cyc[(t + 1) % mlen]
-                d = q.direction_of(u, v)
-                if d is None:
-                    free.append((u, v))
-                elif d == (u, v):
-                    along += 1
-                else:
-                    against += 1
-            if along >= mlen - 1 or against >= mlen - 1:
-                return Contradiction("cycle rule", cyc), derived
-            if along == mlen - 2 and free:
-                for u, v in free:
-                    q.assign(v, u)
-                    derived.append((v, u))
-                changed = True
-            elif against == mlen - 2 and free:
-                for u, v in free:
-                    q.assign(u, v)
-                    derived.append((u, v))
-                changed = True
-    return q, derived
+    return tuple(found)
 
 
 @dataclass
@@ -256,7 +197,7 @@ class _Engine:
         lengths: dict[int, list[int]] = {}
         self.cyc_edges: list[tuple[int, ...]] = []
         self.cyc_signs: list[tuple[int, ...]] = []
-        for ci, cyc in enumerate(tris + list(catalog.cycles)):
+        for ci, cyc in enumerate(tris + list(catalog)):
             mlen = len(cyc)
             es, ss = [], []
             for t in range(mlen):
@@ -302,10 +243,7 @@ class _Engine:
 
     # -- assignment machinery -------------------------------------------
 
-    def _assign(self, e: int, val: int) -> bool:
-        cur = self.dirs[e]
-        if cur:
-            return cur == val
+    def _assign(self, e: int, val: int) -> None:
         self.dirs[e] = val
         self.trail.append(e)
         up = self.up[e]
@@ -313,7 +251,6 @@ class _Engine:
         _add_one(self.against, up[3 - val])
         _add_one(self.placed, up[0])
         self._queue.append(e)
-        return True
 
     def _undo(self, mark: int, saved: tuple[list[int], ...]) -> None:
         """Unassign the trail above ``mark``; restore the counters saved there."""
@@ -346,16 +283,11 @@ class _Engine:
                 forced_along = bool(tight_b & low)
                 ci = low.bit_length() - 1
                 for k, sk in zip(self.cyc_edges[ci], self.cyc_signs[ci]):
-                    if not dirs[k]:  # a free edge: forcing it cannot fail
-                        self._force(k, sk if forced_along else 3 - sk)
+                    if not dirs[k]:
+                        self.stats.propagations += 1
+                        self._assign(k, sk if forced_along else 3 - sk)
                 pending &= -(low << 1)  # drop ci and the cycles below it
         return True
-
-    def _force(self, e: int, val: int) -> bool:
-        if self.dirs[e]:
-            return self.dirs[e] == val
-        self.stats.propagations += 1
-        return self._assign(e, val)
 
     def _has_directed_cycle(self) -> bool:
         n = self.g.n
@@ -406,9 +338,7 @@ class _Engine:
                 for i, (u, v) in enumerate(self.edges)
             ],
         )
-        ok, _ = is_acyclic(o)
-        if not ok:
-            return None
+        # acyclic: _has_directed_cycle passed it (or m = 0)
         return o if find_shortcut(o) is None else None
 
     def search(self) -> Orientation | None:

@@ -17,7 +17,7 @@ from semitrans import (
     verify_certificate,
     write_edge_list,
 )
-from semitrans.cli import NODE_LIMIT_ENV, export_dot, main
+from semitrans.cli import export_dot, main
 from semitrans.constructions import fig4_orientation
 from semitrans.orientation import read_orientation, write_arc_list
 from semitrans.proofscript import bundled_script_text
@@ -141,22 +141,6 @@ def test_solve_node_limit_flag(capsys):
     code, out, err = run(capsys, "solve", "--family", "chvatal",
                          "--node-limit", "-1")
     assert code == 2 and out == "" and "node_limit" in err
-
-
-def test_solve_env_node_limit(monkeypatch, capsys):
-    monkeypatch.setenv(NODE_LIMIT_ENV, "1")
-    code, out, _ = run(capsys, "solve", "--family", "chvatal")
-    assert code == 3
-    # explicit flag wins over the environment
-    code, out, _ = run(capsys, "solve", "--family", "chvatal",
-                       "--node-limit", "100000")
-    assert code == 1
-    monkeypatch.setenv(NODE_LIMIT_ENV, "not-a-number")
-    code, _, err = run(capsys, "solve", "--family", "chvatal")
-    assert code == 2
-    monkeypatch.setenv(NODE_LIMIT_ENV, "-1")
-    code, _, err = run(capsys, "solve", "--family", "chvatal")
-    assert code == 2
 
 
 def test_solve_config_flags(capsys):

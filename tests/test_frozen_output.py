@@ -8,7 +8,7 @@ import pathlib
 
 import pytest
 
-from semitrans.cli import NODE_LIMIT_ENV, main
+from semitrans.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -36,7 +36,6 @@ def _without_timing(text):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_frozen_stdout(case, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv(NODE_LIMIT_ENV, raising=False)
     monkeypatch.chdir(tmp_path)
     for name, text in ARC_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")

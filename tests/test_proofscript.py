@@ -1,6 +1,8 @@
+import ast
+
 import pytest
 
-from semitrans import ParseError, StepRejected, chvatal, cycle, grotzsch
+from semitrans import ParseError, StepRejected, chvatal, cycle, grotzsch, proofscript
 from semitrans.proofscript import (
     AssumeStep,
     BStep,
@@ -231,3 +233,14 @@ def test_replay_trace_mentions_copies():
     trace = report.trace()
     for name in GROTZSCH_COPIES:
         assert name in trace
+
+
+def test_kernel_does_not_import_the_search():
+    # the replay kernel checks the search's answers, so it must not share its
+    # code; semitrans/__init__ imports every module, so sys.modules cannot tell
+    with open(proofscript.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+            assert not any(n.split(".")[-1] == "solver" for n in names), names
