@@ -230,20 +230,28 @@ class Reachability:
         return bool(self.forward[u] >> v & 1)
 
 
-def reach_closure(o: Orientation) -> Reachability:
-    order = topological_order(o)
-    fwd = [0] * o.graph.n
-    back = [0] * o.graph.n
+def closure_masks(
+    out_masks: Sequence[int], in_masks: Sequence[int], order: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """Reflexive forward and backward reachability masks of a DAG, from its
+    successor and predecessor masks and a topological order."""
+    fwd = [0] * len(out_masks)
+    back = [0] * len(out_masks)
     for u in reversed(order):
         acc = 1 << u
-        for w in o.out_neighbors(u):
+        for w in _bits(out_masks[u]):
             acc |= fwd[w]
         fwd[u] = acc
     for v in order:
         acc = 1 << v
-        for u in o.in_neighbors(v):
+        for u in _bits(in_masks[v]):
             acc |= back[u]
         back[v] = acc
+    return fwd, back
+
+
+def reach_closure(o: Orientation) -> Reachability:
+    fwd, back = closure_masks(o._out, o._in, topological_order(o))
     return Reachability(tuple(fwd), tuple(back))
 
 

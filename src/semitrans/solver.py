@@ -8,13 +8,18 @@ devices, each individually sound:
   force the remaining edges the opposite way.  A triangle obeys the same
   count one arc later: 3 arcs one way around are a directed 3-cycle, and 2
   force the third edge against them, the transitive closure;
-* a directed-cycle check over the assigned arcs after every decision.
+* a directed-cycle check after every decision: one Kahn pass over the
+  assigned arcs, kept as a successor and a predecessor mask per vertex that
+  ``_assign`` sets and ``_undo`` clears as the trail pops.
 
-The catalog rule is sound but not complete, so every full assignment is
-verified with the real detector before being reported.  Root symmetry
-breaking explores the first decision edge in one direction only: reversing
-all arcs preserves acyclicity and maps shortcuts to shortcuts, so the two
-halves of the search tree are verdict-equivalent.
+The catalog rule is sound but not complete, so a full assignment is a
+solution only if it has no shortcut.  The leaf decides that over the same
+masks and Kahn order (``shortcut_free``) and builds an ``Orientation`` only
+for the assignment it returns; ``solve`` re-checks that one with
+``check_semi_transitive``, which shares no shortcut code with it.  Root
+symmetry breaking explores the first decision edge in one direction only:
+reversing all arcs preserves acyclicity and maps shortcuts to shortcuts, so
+the two halves of the search tree are verdict-equivalent.
 
 Bookkeeping of the cycle rule.  The engine's cycles are the graph's
 triangles followed by the catalog; a cycle of length L acts at L-1 arcs
@@ -47,17 +52,21 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .errors import BadParameters, ImproperColoring, TooLarge
-from .graphs import Coloring, Graph, is_clique, is_proper, normalize_edge
+from .graphs import Coloring, Graph, _bits, is_clique, is_proper, normalize_edge
 from .orientation import (
     Orientation,
     SemiTransitive,
     check_semi_transitive,
-    find_shortcut,
+    closure_masks,
+    find_shortcut,  # unused here: perfbench/tracing.py binds solver.find_shortcut
     find_shortcut_oracle,
     is_acyclic,  # unused here: perfbench/tracing.py binds solver.is_acyclic
     kahn_order,
     topological_order,
 )
+
+# short_cycles gives up past this; kneser:8:3 at length 7 lists 402,720
+_CATALOG_CAP = 500_000
 
 
 def short_cycles(g: Graph, max_len: int) -> tuple[tuple[int, ...], ...]:
@@ -79,6 +88,8 @@ def short_cycles(g: Graph, max_len: int) -> tuple[tuple[int, ...], ...]:
                 vs = tuple(path)
                 if not is_clique(g, vs):
                     found.append(vs)
+                    if len(found) > _CATALOG_CAP:
+                        raise TooLarge(f"more than {_CATALOG_CAP} cycles in the catalog")
             elif w > root and w not in path and len(path) < max_len:
                 path.append(w)
                 extend(root)
@@ -163,6 +174,24 @@ def _mask(indices: list[int]) -> int:
     return int.from_bytes(buf, "little")
 
 
+def shortcut_free(
+    nonadj: list[int], out: list[int], inc: list[int], order: list[int]
+) -> bool:
+    """Whether a DAG (successor and predecessor masks, a topological order)
+    has no shortcut; ``nonadj[x]``: the vertices neither x nor adjacent to x.
+    Arc u->v is a shortcut iff some x in S = fwd[u] & back[v], the vertices on
+    paths u => v, reaches a y in S in ``nonadj[x]`` (orientation's rule)."""
+    fwd, back = closure_masks(out, inc, order)
+    for u, succ in enumerate(out):
+        fu = fwd[u]
+        for v in _bits(succ):
+            s = fu & back[v]
+            for x in _bits(s):
+                if fwd[x] & s & nonadj[x]:
+                    return False
+    return True
+
+
 def _add_one(planes: list[int], carry: int) -> None:
     """Add 1 to the count of every cycle in ``carry``, rippling the carry."""
     for k, p in enumerate(planes):
@@ -233,6 +262,12 @@ class _Engine:
 
         self.dirs = bytearray(m)
         self.trail: list[int] = []
+        self.arc_of = (None, edges, [(v, u) for u, v in edges])  # [dirs value][e]
+        # the assigned arcs as successor and predecessor masks, and the Kahn
+        # order of the last directed-cycle check (of no arcs, to start)
+        n = g.n
+        self.out, self.inc, self.order = [0] * n, [0] * n, list(range(n))
+        self.nonadj = [((1 << n) - 1) ^ g.adjacency_mask(x) ^ (1 << x) for x in range(n)]
         self._queue: list[int] = []
 
         if cfg.branch_heuristic == "static_degree":
@@ -246,6 +281,9 @@ class _Engine:
     def _assign(self, e: int, val: int) -> None:
         self.dirs[e] = val
         self.trail.append(e)
+        t, h = self.arc_of[val][e]
+        self.out[t] |= 1 << h
+        self.inc[h] |= 1 << t
         up = self.up[e]
         _add_one(self.along, up[val])
         _add_one(self.against, up[3 - val])
@@ -254,8 +292,13 @@ class _Engine:
 
     def _undo(self, mark: int, saved: tuple[list[int], ...]) -> None:
         """Unassign the trail above ``mark``; restore the counters saved there."""
-        while len(self.trail) > mark:
-            self.dirs[self.trail.pop()] = 0
+        trail, dirs, out, inc, arc_of = self.trail, self.dirs, self.out, self.inc, self.arc_of
+        while len(trail) > mark:
+            e = trail.pop()
+            t, h = arc_of[dirs[e]][e]
+            out[t] ^= 1 << h
+            inc[h] ^= 1 << t
+            dirs[e] = 0
         self.along[:], self.against[:], self.placed[:] = saved
 
     def _propagate(self) -> bool:
@@ -290,18 +333,8 @@ class _Engine:
         return True
 
     def _has_directed_cycle(self) -> bool:
-        n = self.g.n
-        out = [0] * n
-        inc = [0] * n
-        for i, (u, v) in enumerate(self.edges):
-            d = self.dirs[i]
-            if d == 1:
-                out[u] |= 1 << v
-                inc[v] |= 1 << u
-            elif d == 2:
-                out[v] |= 1 << u
-                inc[u] |= 1 << v
-        return len(kahn_order(out, inc)) != n
+        self.order = kahn_order(self.out, self.inc)
+        return len(self.order) != self.g.n
 
     # -- branching --------------------------------------------------------
 
@@ -331,15 +364,10 @@ class _Engine:
 
     def _leaf(self) -> Orientation | None:
         self.stats.leaf_checks += 1
-        o = Orientation(
-            self.g,
-            [
-                (u, v) if self.dirs[i] == 1 else (v, u)
-                for i, (u, v) in enumerate(self.edges)
-            ],
-        )
-        # acyclic: _has_directed_cycle passed it (or m = 0)
-        return o if find_shortcut(o) is None else None
+        # acyclic, self.order current: _has_directed_cycle passed (or m = 0)
+        if not shortcut_free(self.nonadj, self.out, self.inc, self.order):
+            return None
+        return Orientation(self.g, [self.arc_of[d][e] for e, d in enumerate(self.dirs)])
 
     def search(self) -> Orientation | None:
         return self._search(0)

@@ -11,6 +11,9 @@ catalog, and to a plain check of every triangle.
   has reached the fixpoint of both rules.
 * When the engine reports a conflict, the kernel must find a contradiction
   or some triangle must be directed.
+
+After every ``_propagate`` and every ``_undo`` the engine's successor and
+predecessor masks must also equal those rebuilt from its edge directions.
 """
 
 import pytest
@@ -67,8 +70,21 @@ class _CheckedEngine(_Engine):
                             open_paths += 1
         return directed, open_paths
 
+    def _check_masks(self):
+        out = [0] * self.g.n
+        inc = [0] * self.g.n
+        for t, h in self._arcs():
+            out[t] |= 1 << h
+            inc[h] |= 1 << t
+        assert (self.out, self.inc) == (out, inc), self.dirs
+
+    def _undo(self, mark, saved):
+        super()._undo(mark, saved)
+        self._check_masks()
+
     def _propagate(self):
         ok = super()._propagate()
+        self._check_masks()
         p = PartialOrientation(self.g, self._arcs())
         result, derived = lemma2_propagate(self.g, p, self.kernel_catalog)
         directed, open_paths = self._triangle_faults(p)

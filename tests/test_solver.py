@@ -35,6 +35,8 @@ from semitrans import (
     solve,
     stats_doc,
 )
+from semitrans import solver
+from semitrans.cli import main
 
 
 def test_short_cycles_counts():
@@ -47,6 +49,18 @@ def test_short_cycles_counts():
     assert len(short_cycles(circulant(13, [1, 5]), 5)) == 65
     with pytest.raises(BadParameters):
         short_cycles(cycle(4), 3)
+
+
+def test_catalog_past_its_cap_is_too_large(monkeypatch, capsys):
+    # grotzsch has 41 cycles of length 4..5: the cap admits 41, not 42
+    monkeypatch.setattr(solver, "_CATALOG_CAP", 41)
+    assert len(short_cycles(grotzsch(), 5)) == 41
+    monkeypatch.setattr(solver, "_CATALOG_CAP", 40)
+    with pytest.raises(TooLarge):
+        short_cycles(grotzsch(), 5)
+    assert len(short_cycles(grotzsch(), 4)) == 10
+    assert main(["solve", "--family", "grotzsch"]) == 3
+    assert "more than 40 cycles" in capsys.readouterr().err
 
 
 def test_short_cycles_contains_proof_cycle():
