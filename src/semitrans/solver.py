@@ -10,7 +10,7 @@ devices, each individually sound:
   force the third edge against them, the transitive closure;
 * a directed-cycle check after every decision: one Kahn pass over the
   assigned arcs, kept as a successor and a predecessor mask per vertex that
-  ``_assign`` sets and ``_undo`` clears as the trail pops.
+  ``_assign`` sets and an undo restores with the bit planes below.
 
 The catalog rule is sound but not complete, so a full assignment is a
 solution only if it has no shortcut.  The leaf decides that over the same
@@ -291,15 +291,11 @@ class _Engine:
         self._queue.append(e)
 
     def _undo(self, mark: int, saved: tuple[list[int], ...]) -> None:
-        """Unassign the trail above ``mark``; restore the counters saved there."""
-        trail, dirs, out, inc, arc_of = self.trail, self.dirs, self.out, self.inc, self.arc_of
-        while len(trail) > mark:
-            e = trail.pop()
-            t, h = arc_of[dirs[e]][e]
-            out[t] ^= 1 << h
-            inc[h] ^= 1 << t
-            dirs[e] = 0
-        self.along[:], self.against[:], self.placed[:] = saved
+        """Unassign the trail above ``mark``; restore the counters and the arc
+        masks saved there."""
+        while len(self.trail) > mark:
+            self.dirs[self.trail.pop()] = 0
+        self.along[:], self.against[:], self.placed[:], self.out[:], self.inc[:] = saved
 
     def _propagate(self) -> bool:
         q = self._queue
@@ -382,7 +378,7 @@ class _Engine:
             raise _NodeLimit()
         branches = (1,) if depth == 0 and self.cfg.symmetry_break else (1, 2)
         mark = len(self.trail)
-        saved = self.along[:], self.against[:], self.placed[:]
+        saved = self.along[:], self.against[:], self.placed[:], self.out[:], self.inc[:]
         for val in branches:
             self._queue = []
             self._assign(e, val)
