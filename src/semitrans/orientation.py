@@ -235,8 +235,7 @@ def closure_masks(
 ) -> tuple[list[int], list[int]]:
     """Reflexive forward and backward reachability masks of a DAG, from its
     successor and predecessor masks and a topological order."""
-    fwd = [0] * len(out_masks)
-    back = [0] * len(out_masks)
+    fwd, back = [0] * len(out_masks), [0] * len(out_masks)
     for u in reversed(order):
         acc = 1 << u
         for w in _bits(out_masks[u]):

@@ -65,8 +65,7 @@ from .orientation import (
     topological_order,
 )
 
-# short_cycles gives up past this; kneser:8:3 at length 7 lists 402,720
-_CATALOG_CAP = 500_000
+_CATALOG_CAP = 500_000  # short_cycles' limit; kneser:8:3 at length 7 lists 402,720
 
 
 def short_cycles(g: Graph, max_len: int) -> tuple[tuple[int, ...], ...]:
@@ -174,9 +173,7 @@ def _mask(indices: list[int]) -> int:
     return int.from_bytes(buf, "little")
 
 
-def shortcut_free(
-    nonadj: list[int], out: list[int], inc: list[int], order: list[int]
-) -> bool:
+def shortcut_free(nonadj: list[int], out: list[int], inc: list[int], order: list[int]) -> bool:
     """Whether a DAG (successor and predecessor masks, a topological order)
     has no shortcut; ``nonadj[x]``: the vertices neither x nor adjacent to x.
     Arc u->v is a shortcut iff some x in S = fwd[u] & back[v], the vertices on
@@ -263,11 +260,9 @@ class _Engine:
         self.dirs = bytearray(m)
         self.trail: list[int] = []
         self.arc_of = (None, edges, [(v, u) for u, v in edges])  # [dirs value][e]
-        # the assigned arcs as successor and predecessor masks, and the Kahn
-        # order of the last directed-cycle check (of no arcs, to start)
-        n = g.n
-        self.out, self.inc, self.order = [0] * n, [0] * n, list(range(n))
-        self.nonadj = [((1 << n) - 1) ^ g.adjacency_mask(x) ^ (1 << x) for x in range(n)]
+        # the assigned arcs as out/in masks; the Kahn order of the last check
+        self.out, self.inc, self.order = [0] * g.n, [0] * g.n, list(range(g.n))
+        self.nonadj = [~(g.adjacency_mask(x) | 1 << x) for x in range(g.n)]
         self._queue: list[int] = []
 
         if cfg.branch_heuristic == "static_degree":
@@ -291,8 +286,7 @@ class _Engine:
         self._queue.append(e)
 
     def _undo(self, mark: int, saved: tuple[list[int], ...]) -> None:
-        """Unassign the trail above ``mark``; restore the counters and the arc
-        masks saved there."""
+        """Unassign the trail above ``mark``; restore the planes and masks saved there."""
         while len(self.trail) > mark:
             self.dirs[self.trail.pop()] = 0
         self.along[:], self.against[:], self.placed[:], self.out[:], self.inc[:] = saved
